@@ -6,7 +6,7 @@ Two workloads live here:
   every registered delay engine (:mod:`repro.engine`).  The measured
   points/second per backend are written to ``BENCH_runtime.json`` at
   the repository root so the perf trajectory can be tracked across
-  PRs; the vectorized backend must stay ≥10× faster than the scalar
+  PRs; the vectorized backend must stay ≥50× faster than the scalar
   reference while agreeing to ≤1e-12 s.
 
 * **Channel overhead** (paper Section VI) — the hybrid channel vs the
@@ -68,8 +68,8 @@ def test_engine_sweep_throughput(benchmark, write_result):
     benchmark.extra_info["speedup"] = round(result.speedup, 1)
     benchmark.extra_info["vectorized_pps"] = round(
         result.points_per_second["vectorized"])
-    # Acceptance: ≥10× on the 10k-point sweep, bit-tight parity.
-    assert result.speedup >= 10.0
+    # Acceptance: ≥50× on the 10k-point sweep, bit-tight parity.
+    assert result.speedup >= 50.0
     assert result.max_abs_difference <= 1e-12
 
 

@@ -6,4 +6,4 @@ through ``[tool.setuptools.dynamic]``, and the CLI's ``--version``
 flag / ``version`` subcommand render it.  Bump it in this file only.
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"

@@ -183,49 +183,56 @@ def _first_bracket(values: np.ndarray, downward: bool
 
 def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
                           downward: bool,
-                          newton_steps: "int | None" = None
-                          ) -> np.ndarray:
+                          newton_steps: "int | None" = None,
+                          start=None) -> np.ndarray:
     """Refine bracketed exp-sum crossings: vectorized Newton with a
     lockstep-bisection fallback.
 
-    Solves ``f(t) = Σ_k weights[r, k]·exp(rates[k]·t) − threshold = 0``
-    per row inside the bracket ``[lo[r], hi[r]]``.  Every Newton step
-    first shrinks the bracket with the current iterate (so the
-    invariant — downward: ``f(lo) > 0 ≥ f(hi)``, upward: ``f(lo) ≤ 0 <
-    f(hi)`` — is preserved), then takes the Newton candidate when it
-    lands strictly inside the bracket and the midpoint otherwise.  A
-    row is converged when its bracket is adjacent-float tight *or*
-    its Newton step shrinks below the same tolerance (Newton
-    typically approaches the root from one side, so only one bracket
-    end tightens).  Rows with neither after *newton_steps* iterations
-    finish under plain lockstep bisection, so the result is always a
-    point within ``1e-15·|t| + 1e-26`` of the bracketed root, the
-    same precision as the pre-Newton lockstep search.
+    Solves ``f(t) = Σ_k weights[..., k]·exp(rates[..., k]·t) −
+    threshold = 0`` per element inside the bracket ``[lo, hi]``.
+    Every Newton step first shrinks the bracket with the current
+    iterate (so the invariant — downward: ``f(lo) > 0 ≥ f(hi)``,
+    upward: ``f(lo) ≤ 0 < f(hi)`` — is preserved), then takes the
+    Newton candidate when it lands strictly inside the bracket and the
+    midpoint otherwise.  A row is converged when its bracket is
+    adjacent-float tight *or* its Newton step shrinks below the same
+    tolerance (Newton typically approaches the root from one side, so
+    only one bracket end tightens); the batch stops at the first
+    iteration after which every row is converged.  Rows with neither
+    after *newton_steps* iterations finish under plain lockstep
+    bisection, so the result is always a point within
+    ``1e-15·|t| + 1e-26`` of the bracketed root, the same precision
+    as the pre-Newton lockstep search.
 
     Parameters
     ----------
     weights : array_like of float
-        Per-row exponential coefficients, shape ``(rows, modes)``.
+        Exponential coefficients, shape ``batch + (modes,)`` for any
+        batch shape.
     rates : array_like of float
-        Exponential rates: shape ``(modes,)`` when shared across the
-        batch (the n-input kernel), or ``(rows, modes)`` when every
-        row carries its own eigenvalues (the parameter-block kernels
-        of :mod:`repro.engine.blocks`).
+        Exponential rates, broadcastable against *weights*: shape
+        ``(modes,)`` when shared across the batch (the n-input
+        kernel), or ``(N, 1, modes)`` against ``(N, M, modes)``
+        weights when every parameter-block row carries its own
+        eigenvalues (:mod:`repro.engine.blocks`).
     lo, hi : array_like of float
-        Bracket endpoints per row (finite; ``lo < hi``).
+        Bracket endpoints, shape *batch* (finite; ``lo < hi``).
     threshold : float or array_like of float
-        Crossing level — scalar, or one level per row.
+        Crossing level, broadcastable against *batch*.
     downward : bool
         Crossing direction (decides which bracket side an iterate
         updates).
     newton_steps : int, optional
         Newton iteration budget before the bisection fallback
         (default :data:`_NEWTON_STEPS`).
+    start : array_like of float, optional
+        First iterate, inside the bracket (default: the bracket
+        midpoint).
 
     Returns
     -------
     numpy.ndarray
-        Bracket midpoints after refinement, shape ``(rows,)``.
+        Refined crossing times, shape *batch*.
     """
     if newton_steps is None:
         newton_steps = _NEWTON_STEPS
@@ -234,22 +241,22 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
     threshold = np.asarray(threshold, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    # Shared (modes,) and per-row (rows, modes) rates broadcast the
-    # same way against the (rows, modes) weights and (rows, 1) times.
+    # Shared and per-row rates broadcast the same way against the
+    # batch + (modes,) weights and the batch + (1,) times.
     wr = weights * rates
-    t = 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi) if start is None else np.array(start, float)
     step = np.full(t.shape, math.inf)
     # Lockstep over the full batch: every row converges within a few
     # iterations of its neighbours, so index compression would cost
     # more in small-array dispatch than the spare iterations do.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for iteration in range(newton_steps):
-            e = np.exp(t[:, None] * rates)
-            f = np.einsum("rk,rk->r", weights, e) - threshold
+        for _ in range(newton_steps):
+            e = np.exp(t[..., None] * rates)
+            f = np.einsum("...k,...k->...", weights, e) - threshold
             side = f > 0.0 if downward else f <= 0.0
             lo = np.where(side, t, lo)
             hi = np.where(side, hi, t)
-            fp = np.einsum("rk,rk->r", wr, e)
+            fp = np.einsum("...k,...k->...", wr, e)
             tn = t - f / fp
             # Non-strict bounds: a candidate tying the bracket end it
             # just updated is the converged root, not an escape (NaN
@@ -259,14 +266,13 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
             tn = np.where(inside, tn, 0.5 * (lo + hi))
             step = np.abs(tn - t)
             t = tn
-            if (iteration >= 3
-                    and np.all(step <= 1e-15 * np.abs(t) + 1e-26)):
-                break
-    pending = np.nonzero(step > 1e-15 * np.abs(t) + 1e-26)[0]
-    if pending.size:
+            if (step <= 1e-15 * np.abs(t) + 1e-26).all():
+                return t
+    pending = np.nonzero(step > 1e-15 * np.abs(t) + 1e-26)
+    if pending[0].size:
         la, ha, w = lo[pending], hi[pending], weights[pending]
-        r = rates[pending] if rates.ndim == 2 else rates
-        level = threshold[pending] if threshold.ndim else threshold
+        r = np.broadcast_to(rates, weights.shape)[pending]
+        level = np.broadcast_to(threshold, t.shape)[pending]
         for _ in range(_BATCH_BISECT_STEPS):
             mid = 0.5 * (la + ha)
             value = np.einsum(

@@ -5,8 +5,9 @@ separations should run at array speed.  This package provides the
 backend seam that makes that a deployment choice instead of a rewrite:
 
 * :data:`~repro.engine.base.DEFAULT_ENGINE` (``"vectorized"``) —
-  NumPy batch evaluation of the closed-form mode chains with
-  per-parameter-set solution caching;
+  NumPy batch evaluation of the closed-form mode chains: the one
+  2-input kernel of :mod:`repro.engine.blocks` run on a 1-row block,
+  with its Δ-independent row constants memoised per parameter set;
 * ``"reference"`` — the scalar per-Δ trajectory computation, kept as
   the parity baseline;
 * ``"parallel"`` — Δ arrays sharded across a :mod:`multiprocessing`
@@ -21,9 +22,9 @@ generalized n-input NOR of :mod:`repro.core.multi_input`.  A third
 axis batches over *parameter sets*: sample-block entry points
 (``delays_falling_block`` / ``delays_rising_block``, one structured
 record per parameter set — see :mod:`repro.engine.blocks`) evaluate N
-Monte-Carlo samples × M Δ-points in one call, dispatched through
-:func:`repro.engine.blocks.block_delays` with a per-sample loop
-fallback for backends without native block kernels.
+Monte-Carlo samples × M Δ-points in one call through the same kernel,
+dispatched by :func:`repro.engine.blocks.block_delays` with a
+per-sample loop fallback for backends without native block kernels.
 
 Sweeps throughout the package accept ``engine=`` (a name, an instance,
 or ``None`` for the default) and the CLI exposes ``--engine``::

@@ -10,7 +10,9 @@ served by very different implementations:
   :class:`repro.core.hybrid_model.HybridNorModel`, one exact
   root-search per point.  Slow, but the ground truth.
 * ``vectorized`` — NumPy evaluation of whole Δ arrays at once
-  (:mod:`repro.engine.vectorized`), bit-tight against the reference.
+  (:mod:`repro.engine.vectorized`) through the one 2-input kernel,
+  the parameter-block kernel of :mod:`repro.engine.blocks` on a
+  1-row block; bit-tight against the reference.
 
 Engines register themselves by name; sweeps all over the package accept
 an ``engine=`` keyword (and the CLI an ``--engine`` flag) that is

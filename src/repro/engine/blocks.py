@@ -1,28 +1,39 @@
-"""Parameter-block evaluation: one call, thousands of parameter sets.
+"""Parameter-block evaluation: the 2-input delay kernel.
 
-The closed forms of :mod:`repro.engine.vectorized` batch over Δ for
-**one** parameter set — the right shape for sweeps and STA, but not
-for Monte-Carlo, where every sample is a *different* parameter set.
-This module flattens the other axis: a **sample block** is a
-structured NumPy array with one record per parameter set
-(:data:`BLOCK_DTYPE`), and the kernels below evaluate the whole block
-against a per-sample Δ matrix in one NumPy pass.
+A **sample block** is a structured NumPy array with one record per
+parameter set (:data:`BLOCK_DTYPE`).  The kernels below evaluate a
+whole block against a per-row Δ matrix in one NumPy pass.
+Monte-Carlo runs blocks of thousands of rows; the vectorized engine
+runs each scalar parameter set as a 1-row block.  This module is
+therefore the only array implementation of the paper's 2-input
+closed forms.
 
-Everything the per-parameter-set contexts of the vectorized engine
-memoize — the mode constants α, β, λ₁, λ₂ of
-:func:`repro.core.modes.mode_10_constants` /
-:func:`~repro.core.modes.mode_00_constants`, the first-segment
-solutions, the settle cutoff — is an elementary closed form in
-``(r1..r4, cn, co, vdd)``, so it vectorizes over the sample axis
-directly.  The only iterative piece, the two-exponential threshold
-crossing, runs through the same safeguarded lockstep Newton as the
-n-input kernel (:func:`repro.core.multi_input._newton_bisect_refine`),
-generalized to per-row eigenvalues.
+Each kernel has two steps:
+
+* the **row-constants step** (:func:`_falling_rows`,
+  :func:`_rising_rows`) computes everything that does not depend on
+  Δ.  That is the mode constants α, β, λ₁, λ₂ of
+  :func:`repro.core.modes.mode_10_constants` /
+  :func:`~repro.core.modes.mode_00_constants`, the first-segment
+  solutions and their crossing times, the (1,1) decay rate and the
+  settle cutoff, one value per row;
+* the **Δ step** (:func:`_falling_delays`, :func:`_rising_delays`)
+  broadcasts those ``(N, 1)`` row columns against the ``(N, M)`` Δ
+  grid.
+
+The vectorized engine memoises the row-constants step per parameter
+set (and ``vn_init``), so a sweep of one gate pays only for the Δ
+step; a Monte-Carlo block computes both steps per call.  The only
+iterative piece, the two-exponential threshold crossing, runs through
+the same safeguarded lockstep Newton as the n-input kernel
+(:func:`repro.core.multi_input._newton_bisect_refine`), with each
+row's eigenvalues broadcast over its Δ points.
 
 The branch structure (sign of Δ, the ``settle_time`` cutoff, early
-first-segment crossings) mirrors :mod:`repro.engine.vectorized`
-exactly, so block results match the scalar reference to the same
-≤ 1e-12 s parity bound (asserted by the stats kernel tests).
+first-segment crossings) mirrors the scalar
+:class:`~repro.core.hybrid_model.HybridNorModel`, so results match
+the reference engine to ≤ 1e-12 s (asserted by the engine parity
+suite).
 
 Entry points
 ------------
@@ -35,7 +46,9 @@ consumer.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +79,11 @@ PARAM_FIELDS = ("r1", "r2", "r3", "r4", "cn", "co", "vdd",
 #: Structured dtype of a sample block: one float64 per parameter.
 BLOCK_DTYPE = np.dtype([(name, np.float64) for name in PARAM_FIELDS])
 
-#: Expansion attempts when bracketing a crossing towards t → ∞ (same
-#: budget as the vectorized engine).
-_BRACKET_STEPS = 200
-
+#: Exclusive lower bound of every field of a valid record: the
+#: electrical values are positive, and ``delta_min >= 0`` is
+#: ``delta_min >`` the largest negative float (``-0.0`` included).
+_FIELD_FLOOR = np.array([0.0] * (len(PARAM_FIELDS) - 1)
+                        + [-np.nextafter(0.0, 1.0)])
 
 # ----------------------------------------------------------------------
 # block construction / validation
@@ -196,26 +210,32 @@ def validate_block(block) -> np.ndarray:
             f"{block.dtype}")
     if block.ndim != 1:
         raise ParameterError("sample block must be 1-D")
-    for name in PARAM_FIELDS[:-1]:
-        values = block[name]
-        if not np.all(np.isfinite(values) & (values > 0.0)):
+    values = field_matrix(block)
+    valid = ((values > _FIELD_FLOOR) & (values < math.inf)).all(axis=0)
+    if not valid.all():
+        name = PARAM_FIELDS[int(np.argmin(valid))]
+        if name == "delta_min":
             raise ParameterError(
-                f"{name} must be positive and finite in every block "
-                "record")
-    dmin = block["delta_min"]
-    if not np.all(np.isfinite(dmin) & (dmin >= 0.0)):
+                "delta_min must be non-negative and finite in every "
+                "block record")
         raise ParameterError(
-            "delta_min must be non-negative and finite in every "
-            "block record")
+            f"{name} must be positive and finite in every block "
+            "record")
     return block
+
+
+def _as_deltas(deltas) -> np.ndarray:
+    """*deltas* as a float array, NaN rejected."""
+    d = np.asarray(deltas, dtype=float)
+    if np.isnan(d).any():
+        raise ParameterError("input separations must not be NaN")
+    return d
 
 
 def _prepare_deltas(block: np.ndarray, deltas
                     ) -> tuple[np.ndarray, bool]:
     """Normalize *deltas* to ``(N, M)`` against an ``(N,)`` block."""
-    d = np.asarray(deltas, dtype=float)
-    if np.isnan(d).any():
-        raise ParameterError("input separations must not be NaN")
+    d = _as_deltas(deltas)
     squeeze = d.ndim == 1
     if squeeze:
         d = d[:, None]
@@ -257,59 +277,126 @@ def _settle(block: np.ndarray) -> np.ndarray:
     r1, r2, r3, r4 = (block["r1"], block["r2"], block["r3"],
                       block["r4"])
     cn, co = block["cn"], block["co"]
-    taus = np.stack([co * r3 * r4 / (r3 + r4), co * r3, co * r4,
-                     cn * r1, cn * r2, co * r2, co * r1])
-    return _SETTLE_FACTOR * taus.max(axis=0)
+    taus = (co * r3 * r4 / (r3 + r4), co * r3, co * r4, cn * r1,
+            cn * r2, co * r2, co * r1)
+    return _SETTLE_FACTOR * functools.reduce(np.maximum, taus)
 
 
-def _expand_brackets(k1, k2, l1, l2, lo, level, upward: bool
-                     ) -> np.ndarray:
-    """Bracket ``k1 e^{λ1 t} + k2 e^{λ2 t}`` across *level* per row.
+def _columns(*rows: np.ndarray) -> list[np.ndarray]:
+    """Per-row values as ``(N, 1)`` columns for the Δ step."""
+    return [row[:, None] for row in rows]
 
-    Expands from ``lo`` in growing steps (the scalar bracketing
-    schedule) until the exp-sum reaches *level* from the requested
-    side; the callers guarantee the limit does, so failure to bracket
-    within the step budget is a defect, not an input condition.
+
+def _exp2(k1, k2, l1, l2, t):
+    """The two-exponential sum ``k1·e^{λ1 t} + k2·e^{λ2 t}``."""
+    return k1 * np.exp(l1 * t) + k2 * np.exp(l2 * t)
+
+
+def _crossing(k1, k2, l1, l2, level, lo, hi, upward: bool
+              ) -> np.ndarray:
+    """Crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` through *level*.
+
+    *k1*, *k2*, *lo* and *hi* have the batch shape: ``(N,)`` rows,
+    or an ``(N, M)`` grid against which *l1*, *l2* and *level*
+    broadcast as ``(N, 1)`` row columns.  The callers guarantee
+    ``λ2 ≤ λ1 < 0`` and exactly one crossing in the requested
+    direction inside ``[lo, hi]``; an infinite *hi* stands for the
+    limit 0, which lies beyond *level*.  It is replaced by the time
+    ``T`` with ``(|k1| + |k2|)·e^{λ1 T} = |level|``: from ``T`` on,
+    the sum is within ``|level|`` of 0, so past the crossing.  Newton
+    starts from the crossing of the slowly decaying term alone,
+    corrected once for the fast term at that time, when that lies
+    inside the bracket, and from the bracket midpoint otherwise.
     """
-    slowest = np.maximum(l1, l2)  # both negative; decays slowest
-    step = 2.0 / np.abs(slowest)
-    hi = np.full_like(lo, math.inf)
-    cur = lo + step
-    pending = np.arange(lo.shape[0])
-    for _ in range(_BRACKET_STEPS):
-        value = (k1[pending] * np.exp(l1[pending] * cur[pending])
-                 + k2[pending] * np.exp(l2[pending] * cur[pending]))
-        done = (value >= level[pending] if upward
-                else value <= level[pending])
-        hi[pending[done]] = cur[pending[done]]
-        pending = pending[~done]
-        if not pending.size:
-            return hi
-        step[pending] *= 1.5
-        cur[pending] += step[pending]
-    raise NoCrossingError(  # pragma: no cover - defensive
-        "failed to bracket a crossing that the limit analysis "
-        "promised")
-
-
-def _refine(k1, k2, l1, l2, lo, hi, level, downward: bool
-            ) -> np.ndarray:
-    """Per-row Newton refinement of a bracketed 2-exp crossing."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        settled = np.log(np.abs(level) / (np.abs(k1) + np.abs(k2))) / l1
+        guess = np.log(level / k1) / l1
+        guess = np.log((level - k2 * np.exp(l2 * guess)) / k1) / l1
+    hi = np.where(np.isinf(hi), np.maximum(settled, lo), hi)
+    start = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
     return _newton_bisect_refine(
-        np.stack([k1, k2], axis=-1), np.stack([l1, l2], axis=-1),
-        lo, hi, level, downward=downward)
+        np.stack([k1, k2], axis=-1), np.stack([l1, l2], axis=-1), lo,
+        hi, level, downward=not upward, start=start)
 
 
 # ----------------------------------------------------------------------
 # falling transition (inputs rise, output VDD → GND)
 # ----------------------------------------------------------------------
 
+class _FallingRows(NamedTuple):
+    """Δ-independent falling constants, one ``(N, 1)`` column each."""
+
+    #: mode (1,0) output from (VDD, VDD): ``k1·e^{l1 t} + k2·e^{l2 t}``.
+    k1: np.ndarray
+    k2: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    #: output crossing time within pure mode (1,0), seconds.
+    t10: np.ndarray
+    #: output crossing time within pure mode (0,1): ``τ_R4 · ln 2``.
+    t01: np.ndarray
+    #: mode (1,1) output decay rate ``−(1/τ_R3 + 1/τ_R4)``.
+    rate11: np.ndarray
+    tau_r4: np.ndarray
+    vdd: np.ndarray
+    vth: np.ndarray
+    settle: np.ndarray
+    delta_min: np.ndarray
+
+
+def _falling_rows(block: np.ndarray) -> _FallingRows:
+    """Row-constants step of the falling kernel (validated block)."""
+    r2, r3, r4 = block["r2"], block["r3"], block["r4"]
+    cn, co, vdd = block["cn"], block["co"], block["vdd"]
+    vth = 0.5 * vdd
+    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+
+    # vo of mode (1,0) entered at (VDD, VDD):  c1 + c2 = VDD·CN·R2,
+    # vo(t) = c1 (α+β) e^{λ1 t} + c2 (α−β) e^{λ2 t}  from VDD.
+    total = vdd * cn * r2
+    c1 = (vdd - total * (alpha - beta)) / (2.0 * beta)
+    k1 = c1 * (alpha + beta)
+    k2 = (total - c1) * (alpha - beta)
+
+    # First downward Vth crossing inside pure mode (1,0): vo starts
+    # at VDD with negative slope and the level sits above the late
+    # tail, so the root is unique.
+    t10 = _crossing(k1, k2, l1, l2, vth, np.zeros_like(vth),
+                    np.full_like(vth, math.inf), upward=False)
+
+    tau_r4 = co * r4
+    return _FallingRows(*_columns(
+        k1, k2, l1, l2, t10, tau_r4 * math.log(2.0),
+        -(1.0 / (co * r3) + 1.0 / tau_r4), tau_r4, vdd, vth,
+        _settle(block), block["delta_min"]))
+
+
+def _falling_delays(rows: _FallingRows, d: np.ndarray) -> np.ndarray:
+    """Δ step of the falling kernel: delays of an ``(N, M)`` grid."""
+    pos = d >= 0.0
+    mag = np.minimum(np.abs(d), rows.settle)
+    # (1,0) then (1,1) for Δ ≥ 0; (0,1) then (1,1) for Δ < 0.  The
+    # output crosses within the first mode unless the second input
+    # switches before that crossing.
+    crossing = np.where(pos, rows.t10, rows.t01)
+    late = mag < crossing
+    if late.any():
+        row = np.nonzero(late)[0]
+        m, p = mag[late], pos[late]
+        k1, k2, l1, l2, vdd, tau_r4, vth, rate11 = (
+            column[row, 0] for column in (
+                rows.k1, rows.k2, rows.l1, rows.l2, rows.vdd,
+                rows.tau_r4, rows.vth, rows.rate11))
+        vo_d = np.where(p, _exp2(k1, k2, l1, l2, m),
+                        vdd * np.exp(-m / tau_r4))
+        crossing[late] = m + np.log(vth / vo_d) / rate11
+    return crossing + rows.delta_min
+
+
 def falling_delays_block(block, deltas) -> np.ndarray:
     """Falling MIS delays for a whole sample block at once.
 
-    The parameter-axis twin of
-    :meth:`repro.engine.vectorized.VectorizedEngine.delays_falling`:
-    sample ``i`` is evaluated at Δ row ``deltas[i]``, every segment
+    Sample ``i`` is evaluated at Δ row ``deltas[i]``, every segment
     constant computed as an array over the sample axis.
 
     Parameters
@@ -329,47 +416,7 @@ def falling_delays_block(block, deltas) -> np.ndarray:
     """
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
-
-    r2, r3, r4 = block["r2"], block["r3"], block["r4"]
-    cn, co, vdd = block["cn"], block["co"], block["vdd"]
-    vth = 0.5 * vdd
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
-
-    # vo of mode (1,0) entered at (VDD, VDD):  c1 + c2 = VDD·CN·R2,
-    # vo(t) = c1 (α+β) e^{λ1 t} + c2 (α−β) e^{λ2 t}  from VDD.
-    total = vdd * cn * r2
-    c1 = (vdd - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    k1 = c1 * (alpha + beta)
-    k2 = c2 * (alpha - beta)
-
-    # First downward Vth crossing inside pure mode (1,0): vo starts
-    # at VDD with negative slope and the level sits above the late
-    # tail, so the root is unique — bracket by expansion, refine in
-    # lockstep with per-row eigenvalues.
-    zeros = np.zeros(block.shape[0])
-    hi = _expand_brackets(k1, k2, l1, l2, zeros, vth, upward=False)
-    t10 = _refine(k1, k2, l1, l2, zeros, hi, vth, downward=True)
-
-    tau_r4 = co * r4
-    t01 = tau_r4 * math.log(2.0)  # vo(t) = VDD e^{−t/τ_R4}
-    rate11 = -(1.0 / (co * r3) + 1.0 / tau_r4)
-
-    col = (slice(None), None)  # broadcast row constants over Δ
-    settle = _settle(block)[col]
-    pos = d >= 0.0
-    mag = np.minimum(np.abs(d), settle)
-    with np.errstate(divide="ignore", invalid="ignore",
-                     over="ignore", under="ignore"):
-        # (1,0) then (1,1) for Δ ≥ 0; (0,1) then (1,1) for Δ < 0.
-        vo_pos = k1[col] * np.exp(l1[col] * mag) \
-            + k2[col] * np.exp(l2[col] * mag)
-        vo_neg = vdd[col] * np.exp(-mag / tau_r4[col])
-        vo_d = np.where(pos, vo_pos, vo_neg)
-        first = np.where(pos, t10[col], t01[col])
-        late = mag + np.log(vth[col] / vo_d) / rate11[col]
-        crossing = np.where(mag >= first, first, late)
-    out = crossing + block["delta_min"][col]
+    out = _falling_delays(_falling_rows(block), d)
     return out[:, 0] if squeeze else out
 
 
@@ -377,61 +424,152 @@ def falling_delays_block(block, deltas) -> np.ndarray:
 # rising transition (inputs fall, output GND → VDD)
 # ----------------------------------------------------------------------
 
-def _crossing_00(alpha, beta, l1, l2, vn_comp, vdd, vth, vn0, vo0
-                 ) -> np.ndarray:
-    """First upward Vth crossing of mode (0,0), per-row constants.
+class _RisingRows(NamedTuple):
+    """Δ-independent rising constants, one ``(N, 1)`` column each."""
 
-    The parameter-axis generalization of the vectorized engine's
-    ``_batch_crossing_00``: every element carries its own
-    eigenvalues, eigenvector components and threshold.  All elements
-    must start below the threshold (guaranteed by the callers).
+    #: Mode-(1,1) internal-node voltage ``X`` (volts), shared.
+    x: float
+    #: mode (0,1) internal-node rate ``−1/(C_N·R1)``.
+    rate01: np.ndarray
+    #: mode (1,0) from (X, 0): ``vn = kn1·e^{l1 t} + kn2·e^{l2 t}``,
+    #: ``vo`` likewise with ``ko1, ko2``.
+    kn1: np.ndarray
+    kn2: np.ndarray
+    ko1: np.ndarray
+    ko2: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    #: upward output crossing within pure mode (1,0); ``inf`` where
+    #: charge sharing never lifts the output to Vth.
+    t_up: np.ndarray
+    #: mode (0,0) entered at ``(vn0, vo0)``: with ``u = vo0 − VDD``
+    #: and ``v = vn0 − VDD`` the output is ``VDD + k1·e^{m1 t} +
+    #: k2·e^{m2 t}``, ``k1 = p1 (u − q1 v)``, ``k2 = p2 (q2 v − u)``.
+    p1: np.ndarray
+    p2: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    vdd: np.ndarray
+    vth: np.ndarray
+    settle: np.ndarray
+    delta_min: np.ndarray
+
+
+def _rising_rows(block: np.ndarray, vn_init) -> _RisingRows:
+    """Row-constants step of the rising kernel (validated block).
+
+    Raises
+    ------
+    ParameterError
+        If *vn_init* is not a voltage in ``[0, VDD]`` of every row.
     """
-    total = (vn0 - vdd) / vn_comp
-    c1 = ((vo0 - vdd) - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    k1 = c1 * (alpha + beta)
-    k2 = c2 * (alpha - beta)
-    offset = vdd - vth  # > 0: the settled output sits above Vth
+    r1, r2, r3 = block["r1"], block["r2"], block["r3"]
+    cn, co, vdd = block["cn"], block["co"], block["vdd"]
+    x = float(vn_init)
+    if not (x >= 0.0 and (x <= vdd).all()):
+        raise ParameterError(
+            f"vn_init must be a voltage in [0, VDD], got {x!r} V")
+    vth = 0.5 * vdd
 
-    if np.any(offset + k1 + k2 > 0.0):
+    # Mode (1,0) entered at (X, 0) — B fell first.  Charge sharing
+    # can lift the output, possibly across Vth before A falls.
+    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+    total = x * cn * r2
+    c1 = -total * (alpha - beta) / (2.0 * beta)
+    c2 = total - c1
+    kn1, kn2 = c1 / (cn * r2), c2 / (cn * r2)
+    ko1, ko2 = c1 * (alpha + beta), c2 * (alpha - beta)
+
+    # First *upward* Vth crossing of vo10, where one exists: vo10
+    # starts at 0, peaks at its single stationary point, then decays
+    # — the crossing exists iff the peak tops Vth.
+    t_up = np.full(block.shape[0], math.inf)
+    if x > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = np.log(-(ko2 * l2) / (ko1 * l1)) / (l1 - l2)
+        has_peak = np.isfinite(ts) & (ts > 0.0)
+        peak = _exp2(ko1, ko2, l1, l2, np.where(has_peak, ts, 0.0))
+        sel = has_peak & (peak > vth)
+        if sel.any():
+            t_up[sel] = _crossing(ko1[sel], ko2[sel], l1[sel], l2[sel],
+                                  vth[sel], np.zeros_like(ts[sel]),
+                                  ts[sel], upward=True)
+
+    # Final mode (0,0): the linear map from the entry state to the
+    # exponential coefficients (eigenvector component 1/(C_N·R2)).
+    a00, b00, m1, m2 = _mode00_constants(r1, r2, cn, co)
+    return _RisingRows(x, *_columns(
+        -1.0 / (cn * r1), kn1, kn2, ko1, ko2, l1, l2, t_up,
+        (a00 + b00) / (2.0 * b00), (a00 - b00) / (2.0 * b00),
+        (a00 - b00) * cn * r2, (a00 + b00) * cn * r2, m1, m2, vdd, vth,
+        _settle(block), block["delta_min"]))
+
+
+def _crossing_00(rows: _RisingRows, vn0, vo0) -> np.ndarray:
+    """First upward Vth crossing of mode (0,0) entered at
+    ``(vn0, vo0)``, on an ``(N, M)`` grid.
+
+    Every element must start below the threshold (guaranteed by the
+    callers: the output either never left GND or was handed over
+    before its first upward crossing).
+    """
+    if (vo0 > rows.vth).any():
         raise NoCrossingError(
             "mode (0,0) entered above threshold; output never "
             "crosses Vth upwards")
+    u = vo0 - rows.vdd
+    v = vn0 - rows.vdd
+    k1 = rows.p1 * (u - rows.q1 * v)
+    k2 = rows.p2 * (rows.q2 * v - u)
+    level = rows.vth - rows.vdd  # < 0: the output settles at VDD
 
     # At most one stationary point splits each element into monotone
-    # pieces: the crossing lies in [0, ts] if f(ts) >= 0, else in
-    # [max(ts, 0), inf).
+    # pieces: the crossing lies in [0, ts] if f(ts) >= level, else in
+    # [ts, inf); without a stationary point in [0, inf).
+    m1, m2 = rows.m1, rows.m2
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -(k2 * l2) / (k1 * l1)
-        ts = np.log(ratio) / (l1 - l2)
+        ts = np.log(-(k2 * m2) / (k1 * m1)) / (m1 - m2)
     has_ts = np.isfinite(ts) & (ts > 0.0)
-    lo = np.zeros_like(vn0)
-    hi = np.full_like(vn0, math.inf)
+    lo = np.zeros_like(k1)
+    hi = np.full_like(k1, math.inf)
     if has_ts.any():
-        t_eval = np.where(has_ts, ts, 0.0)
-        f_ts = (offset + k1 * np.exp(l1 * t_eval)
-                + k2 * np.exp(l2 * t_eval))
-        first_piece = has_ts & (f_ts >= 0.0)
+        f_ts = _exp2(k1, k2, m1, m2, np.where(has_ts, ts, 0.0))
+        first_piece = has_ts & (f_ts >= level)
         second_piece = has_ts & ~first_piece
         hi[first_piece] = ts[first_piece]
         lo[second_piece] = ts[second_piece]
+    return _crossing(k1, k2, m1, m2, level, lo, hi, upward=True)
 
-    open_ended = ~np.isfinite(hi)
-    if open_ended.any():
-        sel = np.nonzero(open_ended)[0]
-        hi[sel] = _expand_brackets(k1[sel], k2[sel], l1[sel],
-                                   l2[sel], lo[sel], -offset[sel],
-                                   upward=True)
-    return _refine(k1, k2, l1, l2, lo, hi, -offset, downward=False)
+
+def _rising_delays(rows: _RisingRows, d: np.ndarray) -> np.ndarray:
+    """Δ step of the rising kernel: delays of an ``(N, M)`` grid."""
+    pos = d >= 0.0
+    mag = np.minimum(np.abs(d), rows.settle)
+    # Δ ≥ 0: (0,1) from (X, 0) — the output pins at GND, only V_N
+    # moves.  Δ < 0: (1,0) from (X, 0) — both nodes move.
+    e1 = np.exp(rows.l1 * mag)
+    e2 = np.exp(rows.l2 * mag)
+    vn0 = np.where(
+        pos, rows.vdd + (rows.x - rows.vdd) * np.exp(rows.rate01 * mag),
+        rows.kn1 * e1 + rows.kn2 * e2)
+    vo0 = np.where(pos, 0.0, rows.ko1 * e1 + rows.ko2 * e2)
+    # The rising delay is referenced to the *later* input, so a final-
+    # segment crossing equals the (0,0)-local crossing time; only an
+    # early upward crossing inside (1,0) gives a Δ-dependent offset.
+    # Early lanes enter (0,0) from a dummy output at GND, which keeps
+    # the crossing well-posed; their (0,0) result is discarded.
+    early = ~pos & (mag >= rows.t_up)
+    delay = _crossing_00(rows, vn0, np.where(early, 0.0, vo0))
+    return np.where(early, rows.t_up - mag, delay) + rows.delta_min
 
 
 def rising_delays_block(block, deltas,
                         vn_init: float = 0.0) -> np.ndarray:
     """Rising MIS delays for a whole sample block at once.
 
-    The parameter-axis twin of
-    :meth:`repro.engine.vectorized.VectorizedEngine.delays_rising`,
-    including the early charge-sharing crossing of the intermediate
+    Includes the early charge-sharing crossing of the intermediate
     (1,0) mode for ``vn_init > 0``.
 
     Parameters
@@ -443,95 +581,24 @@ def rising_delays_block(block, deltas,
         ``±inf`` allowed, NaN rejected.
     vn_init : float, optional
         Mode-(1,1) internal-node voltage ``X`` in volts, shared by
-        the block (default 0.0, the GND worst case).
+        the block, within ``[0, VDD]`` of every row (default 0.0,
+        the GND worst case).
 
     Returns
     -------
     numpy.ndarray
         Delays in seconds (``δ_min`` included), same shape as
         *deltas*; matches the scalar reference to ≤ 1e-12 s.
+
+    Raises
+    ------
+    ParameterError
+        On an invalid block, NaN separations, or a *vn_init* that is
+        not a voltage in ``[0, VDD]``.
     """
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
-    x = float(vn_init)
-
-    r1, r2, r3 = block["r1"], block["r2"], block["r3"]
-    cn, co, vdd = block["cn"], block["co"], block["vdd"]
-    vth = 0.5 * vdd
-    rows = block.shape[0]
-
-    # Mode (1,0) entered at (X, 0) — B fell first.  Charge sharing
-    # can lift the output, possibly across Vth before A falls.
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
-    vn_comp10 = 1.0 / (cn * r2)
-    total = x / vn_comp10
-    c1 = (0.0 - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    kn1, kn2 = c1 * vn_comp10, c2 * vn_comp10  # vn10 coefficients
-    ko1 = c1 * (alpha + beta)                  # vo10 coefficients
-    ko2 = c2 * (alpha - beta)
-
-    # First *upward* Vth crossing of vo10, where one exists: vo10
-    # starts at 0, peaks at its single stationary point, then decays
-    # — the crossing exists iff the peak tops Vth.
-    t_up = np.full(rows, math.inf)
-    if x > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = -(ko2 * l2) / (ko1 * l1)
-            ts = np.log(ratio) / (l1 - l2)
-        has_peak = np.isfinite(ts) & (ts > 0.0)
-        if has_peak.any():
-            t_eval = np.where(has_peak, ts, 0.0)
-            peak = (ko1 * np.exp(l1 * t_eval)
-                    + ko2 * np.exp(l2 * t_eval))
-            sel = np.nonzero(has_peak & (peak > vth))[0]
-            if sel.size:
-                t_up[sel] = _refine(
-                    ko1[sel], ko2[sel], l1[sel], l2[sel],
-                    np.zeros(sel.size), ts[sel], vth[sel],
-                    downward=False)
-
-    # Final mode (0,0) constants, per row.
-    a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
-    vn_comp00 = 1.0 / (cn * r2)
-
-    col = (slice(None), None)
-    settle = _settle(block)[col]
-    pos = d >= 0.0
-    mag = np.minimum(np.abs(d), settle)
-    with np.errstate(over="ignore", under="ignore"):
-        # (0,1) from (X, 0): output pinned at GND, only V_N moves.
-        vn01 = vdd[col] + (x - vdd[col]) \
-            * np.exp(-mag / (cn * r1)[col])
-        # (1,0) from (X, 0): both nodes move.
-        e1 = np.exp(l1[col] * mag)
-        e2 = np.exp(l2[col] * mag)
-        vn10 = kn1[col] * e1 + kn2[col] * e2
-        vo10 = ko1[col] * e1 + ko2[col] * e2
-    vn0 = np.where(pos, vn01, vn10)
-    vo0 = np.where(pos, 0.0, vo10)
-
-    # The rising delay is referenced to the *later* input: final-
-    # segment crossings equal the (0,0)-local crossing time; only an
-    # early upward crossing inside (1,0) gives a Δ-dependent offset.
-    early = (~pos) & (mag >= t_up[col])
-    delay = np.empty_like(d)
-    delay[early] = np.broadcast_to(t_up[col], d.shape)[early] \
-        - mag[early]
-    late = ~early
-    if late.any():
-        grid = np.broadcast_to
-        idx = np.nonzero(late)
-        delay[late] = _crossing_00(
-            grid(a00[col], d.shape)[idx],
-            grid(b00[col], d.shape)[idx],
-            grid(l100[col], d.shape)[idx],
-            grid(l200[col], d.shape)[idx],
-            grid(vn_comp00[col], d.shape)[idx],
-            grid(vdd[col], d.shape)[idx],
-            grid(vth[col], d.shape)[idx],
-            vn0[late], vo0[late])
-    out = delay + block["delta_min"][col]
+    out = _rising_delays(_rising_rows(block, vn_init), d)
     return out[:, 0] if squeeze else out
 
 

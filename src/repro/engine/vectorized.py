@@ -1,231 +1,42 @@
 """Array-native evaluation of the hybrid-model MIS delay functions.
 
-The scalar reference computes every delay by building a two-segment
-:class:`~repro.core.trajectory.PiecewiseTrajectory` and running a Brent
-root search.  But for a Δ sweep almost everything is shared:
+The 2-input entry points run the parameter-block kernel of
+:mod:`repro.engine.blocks` on a 1-row block.  For a Δ sweep of one
+parameter set almost everything is shared: the mode constants, the
+first-segment crossing times and the settle cutoff do not depend on
+Δ.  That row-constants step is memoised per parameter set (and
+``vn_init``) with ``lru_cache``, so a sweep pays only for the Δ step,
+which broadcasts the row constants over the whole Δ array.
 
-* the *first* mode segment starts from a Δ-independent initial state,
-  so its closed-form solution — and its output-threshold crossing time,
-  if the output crosses before the second input arrives — is computed
-  **once per parameter set**;
-* the Δ-dependence enters only through the state handed to the second
-  segment, which is two vectorized :class:`~repro.core.solutions.ExpSum`
-  evaluations;
-* the second segment's crossing is either a closed-form logarithm
-  (falling transitions end in the single-exponential mode (1,1)) or a
-  two-exponential root with **shared rates** across the whole batch
-  (rising transitions end in mode (0,0)), solved here by a vectorized
-  bracketed bisection to machine precision.
-
-Per-parameter-set contexts (mode solutions, first-segment crossing
-times, coupled-mode constants) are memoised with ``lru_cache``; the
-branch structure (sign of Δ, the ``settle_time`` infinity cutoff, early
-first-segment crossings) mirrors the scalar model exactly so the two
-backends agree to well below the femtosecond.
+The n-input entry points run the flattened
+:class:`~repro.core.multi_input.CompiledNorKernel`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import math
 
 import numpy as np
 
-from ..core.hybrid_model import settle_time
-from ..core.modes import CoupledModeConstants, Mode, mode_00_constants
-from ..core.multi_input import (GeneralizedNorParameters,
-                                _newton_bisect_refine,
-                                compiled_nor_kernel)
+from ..core.multi_input import GeneralizedNorParameters, compiled_nor_kernel
 from ..core.parameters import NorGateParameters
-from ..core.solutions import ExpSum, solve_mode
-from ..core.trajectory import all_crossings
-from ..errors import NoCrossingError, ParameterError
 from .base import register_engine, traced_entry_point
+from .blocks import (_as_deltas, _falling_delays, _falling_rows,
+                     _rising_delays, _rising_rows,
+                     block_from_parameters, falling_delays_block,
+                     rising_delays_block)
 
 __all__ = ["VectorizedEngine"]
 
-#: Expansion attempts when bracketing a crossing towards t → ∞.
-_BRACKET_STEPS = 200
 
-
-def _first_directed_crossing(expsum: ExpSum, threshold: float,
-                             direction: int) -> float | None:
-    """First crossing of *expsum* through *threshold* with given slope
-    sign, using the exact scalar machinery (same answer as the
-    reference path's crossing filter)."""
-    derivative = expsum.derivative()
-    for t in all_crossings(expsum, threshold, 0.0, None):
-        slope = 1 if derivative(t) > 0 else -1
-        if slope == direction:
-            return t
-    return None
-
-
-# ----------------------------------------------------------------------
-# per-parameter-set contexts
-# ----------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class _FallingContext:
-    """Δ-independent data of the falling transition (inputs rise)."""
-
-    vdd: float
-    vth: float
-    delta_min: float
-    settle: float
-    #: mode (1,0) output solution from (VDD, VDD) — A switched first.
-    vo10: ExpSum
-    #: output crossing time within pure mode (1,0), seconds.
-    t10: float
-    #: output crossing time within pure mode (0,1): ``τ_R4 · ln 2``.
-    t01: float
-    #: mode (1,1) output decay rate ``−(1/τ_R3 + 1/τ_R4)``.
-    rate11: float
-    tau_r4: float
-
-
-@dataclasses.dataclass(frozen=True)
-class _RisingContext:
-    """Δ-independent data of the rising transition (inputs fall)."""
-
-    vdd: float
-    vth: float
-    delta_min: float
-    settle: float
-    #: mode (0,1) internal-node solution from (X, 0) — A fell first.
-    vn01: ExpSum
-    #: mode (1,0) solutions from (X, 0) — B fell first.
-    vn10: ExpSum
-    vo10: ExpSum
-    #: upward output crossing within pure mode (1,0), if any (only
-    #: possible when X is high enough for N→O charge sharing).
-    t_up: float | None
-    #: coupled constants of the final mode (0,0).
-    c00: CoupledModeConstants
+@functools.lru_cache(maxsize=256)
+def _falling_rows_of(params: NorGateParameters):
+    return _falling_rows(block_from_parameters(params))
 
 
 @functools.lru_cache(maxsize=256)
-def _falling_context(params: NorGateParameters) -> _FallingContext:
-    vdd, vth = params.vdd, params.vth
-    sol10 = solve_mode(Mode.A_HIGH_B_LOW, params, vdd, vdd)
-    t10 = _first_directed_crossing(sol10.vo, vth, -1)
-    sol01 = solve_mode(Mode.A_LOW_B_HIGH, params, vdd, vdd)
-    t01 = _first_directed_crossing(sol01.vo, vth, -1)
-    if t10 is None or t01 is None:  # pragma: no cover - defensive
-        raise NoCrossingError("falling output never crosses Vth")
-    return _FallingContext(
-        vdd=vdd, vth=vth, delta_min=params.delta_min,
-        settle=settle_time(params), vo10=sol10.vo, t10=t10, t01=t01,
-        rate11=-(1.0 / params.tau_r3 + 1.0 / params.tau_r4),
-        tau_r4=params.tau_r4,
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _rising_context(params: NorGateParameters,
-                    vn_init: float) -> _RisingContext:
-    vdd, vth = params.vdd, params.vth
-    sol01 = solve_mode(Mode.A_LOW_B_HIGH, params, vn_init, 0.0)
-    sol10 = solve_mode(Mode.A_HIGH_B_LOW, params, vn_init, 0.0)
-    return _RisingContext(
-        vdd=vdd, vth=vth, delta_min=params.delta_min,
-        settle=settle_time(params), vn01=sol01.vn,
-        vn10=sol10.vn, vo10=sol10.vo,
-        t_up=_first_directed_crossing(sol10.vo, vth, +1),
-        c00=mode_00_constants(params),
-    )
-
-
-# ----------------------------------------------------------------------
-# vectorized two-exponential crossing (shared rates, per-element
-# coefficients) — the only iterative piece of the backend
-# ----------------------------------------------------------------------
-
-def _batch_crossing_00(ctx: _RisingContext, vn0: np.ndarray,
-                       vo0: np.ndarray) -> np.ndarray:
-    """First upward Vth crossing of mode (0,0) entered at ``(vn0, vo0)``.
-
-    All elements share the eigenvalues ``λ1, λ2``; only the two
-    exponential coefficients vary, so the whole batch is refined in
-    lockstep by the safeguarded Newton iteration of the n-input
-    kernel (:func:`repro.core.multi_input._newton_bisect_refine`,
-    bisection fallback included).  Every element must start below the
-    threshold (guaranteed by the callers: the output either never
-    left GND or was handed over before its first upward crossing).
-    """
-    c = ctx.c00
-    l1, l2 = c.lambda1, c.lambda2
-    vdd, vth = ctx.vdd, ctx.vth
-    total = (vn0 - vdd) / c.vn_component
-    c1 = ((vo0 - vdd) - total * (c.alpha - c.beta)) / (2.0 * c.beta)
-    c2 = total - c1
-    k1 = c1 * (c.alpha + c.beta)
-    k2 = c2 * (c.alpha - c.beta)
-    offset = vdd - vth  # > 0: the settled output sits above threshold
-
-    def f(t: np.ndarray, sel=slice(None)) -> np.ndarray:
-        return (offset + k1[sel] * np.exp(l1 * t)
-                + k2[sel] * np.exp(l2 * t))
-
-    f0 = f(np.zeros_like(vn0))
-    if np.any(f0 > 0.0):
-        raise NoCrossingError(
-            "mode (0,0) entered above threshold; output never crosses "
-            "Vth upwards")
-
-    # At most one stationary point splits each element into monotone
-    # pieces: the crossing lies in [0, ts] if f(ts) >= 0, else in
-    # [max(ts, 0), inf).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -(k2 * l2) / (k1 * l1)
-        ts = np.log(ratio) / (l1 - l2)
-    has_ts = np.isfinite(ts) & (ts > 0.0)
-    lo = np.zeros_like(vn0)
-    hi = np.full_like(vn0, math.inf)
-    if has_ts.any():
-        f_ts = f(np.where(has_ts, ts, 0.0))
-        first_piece = has_ts & (f_ts >= 0.0)
-        second_piece = has_ts & ~first_piece
-        hi[first_piece] = ts[first_piece]
-        lo[second_piece] = ts[second_piece]
-
-    # Bracket the open-ended pieces: the limit (offset > 0) guarantees
-    # a sign change, so expand in growing steps like the scalar path.
-    open_ended = np.nonzero(~np.isfinite(hi))[0]
-    if open_ended.size:
-        slowest = max(l1, l2)  # both negative; this one decays slowest
-        step = np.full(open_ended.size, 2.0 / abs(slowest))
-        cur = lo[open_ended] + step
-        pending = np.arange(open_ended.size)
-        for _ in range(_BRACKET_STEPS):
-            done = f(cur[pending], open_ended[pending]) >= 0.0
-            hi[open_ended[pending[done]]] = cur[pending[done]]
-            pending = pending[~done]
-            if not pending.size:
-                break
-            step[pending] *= 1.5
-            cur[pending] += step[pending]
-        else:  # pragma: no cover - defensive
-            raise NoCrossingError("failed to bracket a (0,0) crossing "
-                                  "that the limit analysis promised")
-
-    # Newton refinement to adjacent-float precision: the exp-sum is
-    # k1·e^{λ1 t} + k2·e^{λ2 t}, crossing the level −offset upwards.
-    return _newton_bisect_refine(
-        np.stack([k1, k2], axis=-1), np.array([l1, l2]), lo, hi,
-        -offset, downward=False)
-
-
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
-
-def _prepare(deltas) -> tuple[np.ndarray, tuple[int, ...]]:
-    d = np.asarray(deltas, dtype=float)
-    if np.isnan(d).any():
-        raise ParameterError("input separations must not be NaN")
-    return np.ravel(d), d.shape
+def _rising_rows_of(params: NorGateParameters, vn_init: float):
+    return _rising_rows(block_from_parameters(params), vn_init)
 
 
 class VectorizedEngine:
@@ -252,34 +63,9 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*; matches the scalar reference to ≪ 1e-12 s.
         """
-        ctx = _falling_context(params)
-        d, shape = _prepare(deltas)
-        crossing = np.empty_like(d)
-
-        pos = d >= 0.0
-        if pos.any():
-            # (1,0) from (VDD, VDD), then (1,1) at Δ.
-            dp = np.minimum(d[pos], ctx.settle)
-            res = np.full_like(dp, ctx.t10)
-            late = dp < ctx.t10  # output still above Vth at the switch
-            if late.any():
-                dl = dp[late]
-                vo_d = ctx.vo10(dl)
-                res[late] = dl + np.log(ctx.vth / vo_d) / ctx.rate11
-            crossing[pos] = res
-        neg = ~pos
-        if neg.any():
-            # (0,1) from (VDD, VDD), then (1,1) at |Δ|.
-            dn = np.minimum(-d[neg], ctx.settle)
-            res = np.full_like(dn, ctx.t01)
-            late = dn < ctx.t01
-            if late.any():
-                dl = dn[late]
-                vo_d = ctx.vdd * np.exp(-dl / ctx.tau_r4)
-                res[late] = dl + np.log(ctx.vth / vo_d) / ctx.rate11
-            crossing[neg] = res
-
-        return (crossing + ctx.delta_min).reshape(shape)
+        d = _as_deltas(deltas)
+        return _falling_delays(_falling_rows_of(params),
+                               d.reshape(1, -1)).reshape(d.shape)
 
     @traced_entry_point("engine.delays", "rising")
     def delays_rising(self, params: NorGateParameters, deltas,
@@ -294,50 +80,23 @@ class VectorizedEngine:
             Input separations in seconds; ``±inf`` allowed, NaN
             rejected.
         vn_init : float, optional
-            Mode-(1,1) internal-node voltage in volts (default 0.0,
-            the GND worst case).
+            Mode-(1,1) internal-node voltage in volts, within
+            ``[0, VDD]`` (default 0.0, the GND worst case).
 
         Returns
         -------
         numpy.ndarray
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*; matches the scalar reference to ≪ 1e-12 s.
+
+        Raises
+        ------
+        ParameterError
+            On NaN separations or a *vn_init* outside ``[0, VDD]``.
         """
-        ctx = _rising_context(params, float(vn_init))
-        d, shape = _prepare(deltas)
-        # The rising delay is referenced to the *later* input, so for
-        # final-segment crossings it equals the (0,0)-local crossing
-        # time; only an early upward crossing in the intermediate
-        # (1,0) mode produces a Δ-dependent offset.
-        delay = np.empty_like(d)
-
-        pos = d >= 0.0
-        if pos.any():
-            # (0,1) from (X, 0): the output pins at GND, only V_N moves.
-            dp = np.minimum(d[pos], ctx.settle)
-            vn_d = np.asarray(ctx.vn01(dp), dtype=float)
-            delay[pos] = _batch_crossing_00(ctx, vn_d,
-                                            np.zeros_like(vn_d))
-        neg = ~pos
-        if neg.any():
-            # (1,0) from (X, 0): charge sharing can lift the output —
-            # possibly across Vth before the second input arrives.
-            dn = np.minimum(-d[neg], ctx.settle)
-            res = np.empty_like(dn)
-            if ctx.t_up is not None:
-                early = dn >= ctx.t_up
-                res[early] = ctx.t_up - dn[early]
-            else:
-                early = np.zeros(dn.shape, dtype=bool)
-            late = ~early
-            if late.any():
-                dl = dn[late]
-                vn_d = np.asarray(ctx.vn10(dl), dtype=float)
-                vo_d = np.asarray(ctx.vo10(dl), dtype=float)
-                res[late] = _batch_crossing_00(ctx, vn_d, vo_d)
-            delay[neg] = res
-
-        return (delay + ctx.delta_min).reshape(shape)
+        d = _as_deltas(deltas)
+        return _rising_delays(_rising_rows_of(params, float(vn_init)),
+                              d.reshape(1, -1)).reshape(d.shape)
 
     @traced_entry_point("engine.delays_block", "falling")
     def delays_falling_block(self, block, deltas) -> np.ndarray:
@@ -364,7 +123,6 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import falling_delays_block
         return falling_delays_block(block, deltas)
 
     @traced_entry_point("engine.delays_block", "rising")
@@ -390,7 +148,6 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import rising_delays_block
         return rising_delays_block(block, deltas, vn_init)
 
     @traced_entry_point("engine.delays_n", "falling")
@@ -402,8 +159,8 @@ class VectorizedEngine:
         :class:`~repro.core.multi_input.CompiledNorKernel` (stacked
         eigen tensors, shared per parameter set and persisted via
         :mod:`repro.cache` when configured).  For ``n = 2`` it agrees
-        with the closed-form :meth:`delays_falling` path to
-        ≤ 1e-12 s (asserted by the parity suite).
+        with the 2-input :meth:`delays_falling` to ≤ 1e-12 s
+        (asserted by the parity suite).
 
         Parameters
         ----------

@@ -19,13 +19,15 @@ class TestRegistry:
                 "table1", "analytic", "runtime", "library",
                 "faithfulness"} <= set(experiment_names())
 
-    def test_legacy_registry_is_deprecation_shimmed(self):
+    def test_legacy_registry_is_removed(self):
+        """The 1.5.0-deprecated module registries are gone; the
+        session facade's catalog is the only experiment registry."""
+        import repro.analysis
         from repro.analysis import experiments
-        with pytest.warns(DeprecationWarning,
-                          match="repro.api"):
-            registry = experiments.EXPERIMENTS
-        assert set(experiment_names()) - {"multi_input"} \
-            <= set(registry)
+        with pytest.raises(AttributeError):
+            experiments.EXPERIMENTS
+        with pytest.raises(AttributeError):
+            repro.analysis.EXPERIMENTS
 
 
 class TestLibraryExperiment:

@@ -1,12 +1,14 @@
 """Behavior of the :class:`repro.api.Session` facade."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.api import (DelayRequest, DescribeRequest,
                        ExperimentRequest, LibraryRequest, Session,
-                       StaRequest, VersionRequest, VersionResult,
-                       from_json)
+                       StaRequest, StatsRequest, VersionRequest,
+                       VersionResult, from_json)
 from repro.core.parameters import PAPER_TABLE_I
 from repro.engine import get_engine
 from repro.errors import ParameterError
@@ -47,6 +49,41 @@ class TestBindings:
         assert "finfet15" in repr(session)
         session.engine
         assert "reference" in repr(session)
+
+
+def _with_vn_init(request, vn_init: float) -> str:
+    """*request*'s JSON envelope with a raw ``vn_init`` value."""
+    envelope = json.loads(request.to_json())
+    envelope["data"]["vn_init"] = vn_init
+    return json.dumps(envelope)
+
+
+class TestRisingStateValidation:
+    """A rising 2-input request's ``vn_init`` must be a voltage in
+    ``[0, VDD]``; anything else fails fast with ``ParameterError``."""
+
+    BAD = (float("nan"), -0.1, 2.0 * PAPER_TABLE_I.vdd)
+
+    @pytest.mark.parametrize("vn_init", BAD)
+    def test_delay_rejects(self, vn_init):
+        request = DelayRequest(direction="rising",
+                               deltas=((0.0,), (10e-12,)))
+        with pytest.raises(ParameterError, match="vn_init"):
+            Session().run_json(_with_vn_init(request, vn_init))
+
+    @pytest.mark.parametrize("vn_init", BAD)
+    def test_stats_rejects(self, vn_init):
+        request = StatsRequest(direction="rising", deltas=(0.0,),
+                               samples=8)
+        with pytest.raises(ParameterError, match="vn_init"):
+            Session().run_json(_with_vn_init(request, vn_init))
+
+    def test_in_range_state_succeeds(self):
+        request = DelayRequest(direction="rising",
+                               deltas=((0.0,), (10e-12,)))
+        result = Session().run_json(_with_vn_init(request, 0.35))
+        assert np.all(np.isfinite(result.delays))
+        assert np.all(np.asarray(result.delays) > 0.0)
 
 
 class TestDispatch:

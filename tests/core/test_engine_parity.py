@@ -19,7 +19,9 @@ from repro.core.multi_input import GeneralizedNorParameters
 from repro.core.parameters import PAPER_TABLE_I, NorGateParameters
 from repro.engine import (DEFAULT_ENGINE, DelayEngine, ReferenceEngine,
                           VectorizedEngine, available_engines,
-                          get_engine, register_engine)
+                          block_from_parameters, get_engine,
+                          register_engine)
+from repro.engine.blocks import falling_delays_block, rising_delays_block
 from repro.units import PS
 
 #: Absolute backend-parity bound, seconds (ISSUE acceptance).
@@ -42,13 +44,30 @@ def gate_params(draw) -> NorGateParameters:
         delta_min=draw(_delta_min))
 
 
+#: Δ values always probed: the SIS limits, their huge-finite
+#: stand-ins, and the exact MIS point.
+_SPECIAL_DELTAS = (-math.inf, -1e300, 0.0, 1e300, math.inf)
+
+
 @st.composite
 def delta_grids(draw) -> np.ndarray:
     finite = draw(st.lists(
         st.floats(min_value=-400.0 * PS, max_value=400.0 * PS),
         min_size=1, max_size=24))
-    # Always probe the SIS limits and the exact MIS point.
-    return np.array(finite + [-math.inf, 0.0, math.inf])
+    return np.array(finite + list(_SPECIAL_DELTAS))
+
+
+@st.composite
+def parameter_blocks(draw):
+    """A mixed-parameter sample block and a Δ matrix of its rows."""
+    rows = draw(st.lists(gate_params(), min_size=1, max_size=6))
+    width = draw(st.integers(min_value=1, max_value=8))
+    entry = (st.floats(min_value=-400.0 * PS, max_value=400.0 * PS)
+             | st.sampled_from(_SPECIAL_DELTAS))
+    deltas = np.array([draw(st.lists(entry, min_size=width,
+                                     max_size=width))
+                       for _ in rows])
+    return rows, deltas
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +102,52 @@ class TestRandomizedParity:
         expected = reference.delays_falling(PAPER_TABLE_I, deltas)
         actual = vectorized.delays_falling(PAPER_TABLE_I, deltas)
         assert np.max(np.abs(actual - expected)) <= PARITY_TOL
+
+
+class TestBlockParity:
+    """The parameter-block kernels on random mixed-parameter blocks:
+    every row matches the reference engine at that row's parameters."""
+
+    @given(case=parameter_blocks())
+    def test_falling(self, reference, case):
+        rows, deltas = case
+        actual = falling_delays_block(block_from_parameters(rows),
+                                      deltas)
+        for params, row, got in zip(rows, deltas, actual):
+            expected = reference.delays_falling(params, row)
+            assert np.max(np.abs(got - expected)) <= PARITY_TOL
+
+    @given(case=parameter_blocks(),
+           x_fraction=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_rising(self, reference, case, x_fraction):
+        rows, deltas = case
+        vn_init = x_fraction * rows[0].vdd
+        actual = rising_delays_block(block_from_parameters(rows),
+                                     deltas, vn_init)
+        for params, row, got in zip(rows, deltas, actual):
+            expected = reference.delays_rising(params, row, vn_init)
+            assert np.max(np.abs(got - expected)) <= PARITY_TOL
+
+
+class TestSingleInputLimits:
+    """Δ = ±1e300 is past every settle cutoff, so it lands exactly on
+    the Δ = ±inf plateau — the paper's single-input limits."""
+
+    LIMITS = np.array([1e300, math.inf, -1e300, -math.inf])
+
+    @given(params=gate_params(),
+           x_fraction=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_huge_separation_is_the_plateau(self, reference,
+                                            vectorized, params,
+                                            x_fraction):
+        vn_init = x_fraction * params.vdd
+        for engine in (reference, vectorized):
+            for delays in (
+                    engine.delays_falling(params, self.LIMITS),
+                    engine.delays_rising(params, self.LIMITS,
+                                         vn_init)):
+                assert delays[0] == delays[1]
+                assert delays[2] == delays[3]
 
 
 class TestDenseGridParity:
