@@ -10,14 +10,18 @@ gate-model evaluation; the vectorized path must keep its >= 10x
 advantage with wire arcs interleaved in the graph.  A second record
 key times the analytic corner scaling of the reduced-order wire
 model (``scaled_delays``) against re-reducing the scaled tree per
-corner — the closed-form law that makes wire corners free.
+corner — the closed-form law that makes wire corners free.  A third
+key, ``reduce_two_pole_us``, is the absolute latency of one two-pole
+``reduce_tree`` of the default ``WireRequest`` fanout tree, gated by a
+ceiling rather than a speedup.
 
 The module doubles as a CI smoke check::
 
     python benchmarks/bench_wire.py --smoke
 
 runs a reduced sweep (no pytest needed) and exits non-zero if parity
-or the speedup machinery is broken.
+or the speedup machinery is broken, or the reduction latency exceeds
+its ceiling.
 """
 
 import argparse
@@ -28,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro.api import Session
+from repro.api import Session, WireRequest
 from repro.sta import demo_corners, sweep_corners, sweep_corners_scalar
 from repro.wire import (WireSegment, WireTree, reduce_tree,
                         scaled_delays)
@@ -38,6 +42,10 @@ from bench_common import repeat_median  # noqa: E402
 
 #: ISSUE acceptance: vectorized vs scalar on the full corner count.
 _SPEEDUP_FLOOR = 10.0
+#: Ceilings on ``reduce_two_pole_us`` (full / smoke runs), with
+#: margin over the ~0.4 ms measured on a shared 2-core x86 host.
+_REDUCE_CEILING_US = 1500.0
+_SMOKE_REDUCE_CEILING_US = 3000.0
 #: Machine-readable record tracked across PRs.
 _JSON_PATH = pathlib.Path(__file__).parents[1] / "BENCH_wire.json"
 
@@ -90,6 +98,7 @@ def measure_sweep(corners: int, seed: int = 0) -> dict:
         "parity_s": parity,
     }
     payload.update(measure_scaling(corners, seed=seed))
+    payload.update(measure_reduce())
     return payload
 
 
@@ -127,6 +136,24 @@ def measure_scaling(corners: int, seed: int = 0) -> dict:
     }
 
 
+def measure_reduce(calls: int = 200) -> dict:
+    """Median latency of one two-pole reduction of the fanout tree
+    a default ``WireRequest(topology="fanout")`` builds."""
+    request = WireRequest(topology="fanout")
+    tree = WireTree.fanout(branches=request.branches, stem=1,
+                           segments=request.stages,
+                           resistance=request.resistance,
+                           capacitance=request.capacitance,
+                           load=request.sink_load)
+    reduce_tree(tree, model="two_pole")
+    samples = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        reduce_tree(tree, model="two_pole")
+        samples.append(time.perf_counter() - start)
+    return {"reduce_two_pole_us": float(np.median(samples)) * 1e6}
+
+
 def test_wire_corner_sweep_speedup(benchmark):
     """1000-corner wired sweep, vectorized vs scalar (>= 10x)."""
     payload = benchmark.pedantic(
@@ -139,6 +166,7 @@ def test_wire_corner_sweep_speedup(benchmark):
     assert payload["parity_s"] <= 1e-15
     assert payload["scaling_parity_s"] <= 1e-15
     assert payload["speedup"] >= _SPEEDUP_FLOOR
+    assert payload["reduce_two_pole_us"] <= _REDUCE_CEILING_US
 
 
 def main(argv=None) -> int:
@@ -166,7 +194,8 @@ def main(argv=None) -> int:
           f"{payload['scalar_seconds'] * 1e3:.1f} ms, speedup "
           f"{payload['speedup']:.1f}x, parity "
           f"{payload['parity_s']:.2e} s; wire scaling "
-          f"{payload['scaling_speedup']:.0f}x")
+          f"{payload['scaling_speedup']:.0f}x; two-pole reduction "
+          f"{payload['reduce_two_pole_us']:.0f} us")
     print(f"wrote {_JSON_PATH}")
     if payload["parity_s"] > 1e-15:
         print("FAIL: vectorized/scalar parity broken",
@@ -176,11 +205,18 @@ def main(argv=None) -> int:
         print("FAIL: analytic wire scaling diverges from "
               "re-reduction", file=sys.stderr)
         return 1
-    floor = 2.0 if (args.smoke or corners < FULL_CORNERS) \
-        else _SPEEDUP_FLOOR
+    reduced = args.smoke or corners < FULL_CORNERS
+    floor = 2.0 if reduced else _SPEEDUP_FLOOR
     if payload["speedup"] < floor:
         print(f"FAIL: speedup {payload['speedup']:.1f}x below "
               f"{floor}x", file=sys.stderr)
+        return 1
+    ceiling = _SMOKE_REDUCE_CEILING_US if reduced \
+        else _REDUCE_CEILING_US
+    if payload["reduce_two_pole_us"] > ceiling:
+        print(f"FAIL: two-pole reduction "
+              f"{payload['reduce_two_pole_us']:.0f} us above "
+              f"{ceiling:.0f} us", file=sys.stderr)
         return 1
     return 0
 

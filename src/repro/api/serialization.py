@@ -26,6 +26,7 @@ request and result type — is enforced property-based in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -109,6 +110,10 @@ def _encode(value: Any) -> Any:
                 for key, item in value.items()}
     raise ParameterError(
         f"cannot serialize field value of type {type(value).__name__}")
+
+
+#: Resolved field annotations per record class, computed once.
+_field_hints = functools.cache(typing.get_type_hints)
 
 
 def _decode(value: Any, annotation: Any) -> Any:
@@ -241,7 +246,7 @@ class ApiRecord:
         data = payload.get("data")
         if not isinstance(data, dict):
             raise ParameterError("envelope has no 'data' object")
-        hints = typing.get_type_hints(target)
+        hints = _field_hints(target)
         fields = {field.name: field
                   for field in dataclasses.fields(target)}
         unknown = set(data) - set(fields)

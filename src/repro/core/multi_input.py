@@ -287,6 +287,40 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
     return t
 
 
+def _exp2(k1, k2, l1, l2, t):
+    """The two-exponential sum ``k1·e^{λ1 t} + k2·e^{λ2 t}``."""
+    return k1 * np.exp(l1 * t) + k2 * np.exp(l2 * t)
+
+
+def _crossing(k1, k2, l1, l2, level, lo, hi, upward: bool
+              ) -> np.ndarray:
+    """Crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` through *level*.
+
+    Shared by the 2-input block kernels (:mod:`repro.engine.blocks`)
+    and the two-pole wire reduction (:mod:`repro.wire.model`).  *k1*,
+    *k2*, *lo* and *hi* have the batch shape, for example ``(N,)``
+    rows, or an ``(N, M)`` grid against which *l1*, *l2* and *level*
+    broadcast as ``(N, 1)`` row columns.  The callers guarantee
+    ``λ2 ≤ λ1 < 0`` and exactly one crossing in the requested
+    direction inside ``[lo, hi]``; an infinite *hi* stands for the
+    limit 0, which lies beyond *level*.  It is replaced by the time
+    ``T`` with ``(|k1| + |k2|)·e^{λ1 T} = |level|``: from ``T`` on,
+    the sum is within ``|level|`` of 0, so past the crossing.  Newton
+    starts from the crossing of the slowly decaying term alone,
+    corrected once for the fast term at that time, when that lies
+    inside the bracket, and from the bracket midpoint otherwise.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        settled = np.log(np.abs(level) / (np.abs(k1) + np.abs(k2))) / l1
+        guess = np.log(level / k1) / l1
+        guess = np.log((level - k2 * np.exp(l2 * guess)) / k1) / l1
+    hi = np.where(np.isinf(hi), np.maximum(settled, lo), hi)
+    start = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
+    return _newton_bisect_refine(
+        np.stack([k1, k2], axis=-1), np.stack([l1, l2], axis=-1), lo,
+        hi, level, downward=not upward, start=start)
+
+
 @dataclasses.dataclass(frozen=True)
 class GeneralizedNorParameters:
     """Electrical parameters of an n-input NOR (SI units).

@@ -228,21 +228,13 @@ def delays_for_direction(engine: "DelayEngine", direction: str,
     return engine.delays_rising(params, deltas, state)
 
 
-#: Memoized (engine, direction) -> call counter, so the per-call
-#: metrics cost is one dict lookup plus a locked increment.
-_CALL_COUNTERS: dict = {}
-
-
+@functools.cache
 def _call_counter(engine_name: str, direction: str):
-    key = (engine_name, direction)
-    counter = _CALL_COUNTERS.get(key)
-    if counter is None:
-        counter = _metrics.registry().counter(
-            "repro_engine_calls_total",
-            "delay-engine batch invocations",
-            labels={"engine": engine_name, "direction": direction})
-        _CALL_COUNTERS[key] = counter
-    return counter
+    """Call counter of one (engine, direction), memoised so the
+    per-call metrics cost is one cache lookup plus a locked increment."""
+    return _metrics.registry().counter(
+        "repro_engine_calls_total", "delay-engine batch invocations",
+        labels={"engine": engine_name, "direction": direction})
 
 
 def traced_entry_point(span_name: str, direction: str):

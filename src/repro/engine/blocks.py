@@ -24,10 +24,11 @@ Each kernel has two steps:
 The vectorized engine memoises the row-constants step per parameter
 set (and ``vn_init``), so a sweep of one gate pays only for the Δ
 step; a Monte-Carlo block computes both steps per call.  The only
-iterative piece, the two-exponential threshold crossing, runs through
-the same safeguarded lockstep Newton as the n-input kernel
-(:func:`repro.core.multi_input._newton_bisect_refine`), with each
-row's eigenvalues broadcast over its Δ points.
+iterative piece, the two-exponential threshold crossing
+(:func:`repro.core.multi_input._crossing`, shared with the two-pole
+wire reduction), runs through the same safeguarded lockstep Newton as
+the n-input kernel, with each row's eigenvalues broadcast over its Δ
+points.
 
 The branch structure (sign of Δ, the ``settle_time`` cutoff, early
 first-segment crossings) mirrors the scalar
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.hybrid_model import _SETTLE_FACTOR
-from ..core.multi_input import _newton_bisect_refine
+from ..core.multi_input import _crossing, _exp2
 from ..core.parameters import NorGateParameters
 from ..errors import NoCrossingError, ParameterError
 
@@ -285,38 +286,6 @@ def _settle(block: np.ndarray) -> np.ndarray:
 def _columns(*rows: np.ndarray) -> list[np.ndarray]:
     """Per-row values as ``(N, 1)`` columns for the Δ step."""
     return [row[:, None] for row in rows]
-
-
-def _exp2(k1, k2, l1, l2, t):
-    """The two-exponential sum ``k1·e^{λ1 t} + k2·e^{λ2 t}``."""
-    return k1 * np.exp(l1 * t) + k2 * np.exp(l2 * t)
-
-
-def _crossing(k1, k2, l1, l2, level, lo, hi, upward: bool
-              ) -> np.ndarray:
-    """Crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` through *level*.
-
-    *k1*, *k2*, *lo* and *hi* have the batch shape: ``(N,)`` rows,
-    or an ``(N, M)`` grid against which *l1*, *l2* and *level*
-    broadcast as ``(N, 1)`` row columns.  The callers guarantee
-    ``λ2 ≤ λ1 < 0`` and exactly one crossing in the requested
-    direction inside ``[lo, hi]``; an infinite *hi* stands for the
-    limit 0, which lies beyond *level*.  It is replaced by the time
-    ``T`` with ``(|k1| + |k2|)·e^{λ1 T} = |level|``: from ``T`` on,
-    the sum is within ``|level|`` of 0, so past the crossing.  Newton
-    starts from the crossing of the slowly decaying term alone,
-    corrected once for the fast term at that time, when that lies
-    inside the bracket, and from the bracket midpoint otherwise.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        settled = np.log(np.abs(level) / (np.abs(k1) + np.abs(k2))) / l1
-        guess = np.log(level / k1) / l1
-        guess = np.log((level - k2 * np.exp(l2 * guess)) / k1) / l1
-    hi = np.where(np.isinf(hi), np.maximum(settled, lo), hi)
-    start = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
-    return _newton_bisect_refine(
-        np.stack([k1, k2], axis=-1), np.stack([l1, l2], axis=-1), lo,
-        hi, level, downward=not upward, start=start)
 
 
 # ----------------------------------------------------------------------

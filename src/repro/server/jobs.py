@@ -19,6 +19,7 @@ re-enqueued and resume exactly at the first line without a result.
 
 from __future__ import annotations
 
+import functools
 import json
 import queue
 import threading
@@ -31,20 +32,14 @@ from .store import TERMINAL_STATUSES, JobStore
 
 __all__ = ["BatchRunner"]
 
-#: Memoized outcome -> batch-line counter (module-level so every
-#: runner in the process shares the global-registry instruments).
-_LINE_COUNTERS: dict = {}
 
-
+@functools.cache
 def _line_counter(outcome: str):
-    counter = _LINE_COUNTERS.get(outcome)
-    if counter is None:
-        counter = _metrics.registry().counter(
-            "repro_batch_lines_total",
-            "batch-job request lines by outcome",
-            labels={"outcome": outcome})
-        _LINE_COUNTERS[outcome] = counter
-    return counter
+    """Batch-line counter of one outcome, shared by every runner in
+    the process through the global registry."""
+    return _metrics.registry().counter(
+        "repro_batch_lines_total", "batch-job request lines by outcome",
+        labels={"outcome": outcome})
 
 
 class BatchRunner:

@@ -26,6 +26,7 @@ criteria.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -73,18 +74,12 @@ def _gate_width(gate: str) -> int:
     return int(gate[len("nor"):])
 
 
+@functools.cache
 def _counter(method: str):
-    counter = _COUNTERS.get(method)
-    if counter is None:
-        counter = _metrics.registry().counter(
-            "repro_stats_samples_total",
-            "statistical delay samples drawn, by method",
-            labels={"method": method})
-        _COUNTERS[method] = counter
-    return counter
-
-
-_COUNTERS: dict = {}
+    return _metrics.registry().counter(
+        "repro_stats_samples_total",
+        "statistical delay samples drawn, by method",
+        labels={"method": method})
 
 
 def evaluate_block(engine, gate: str, direction: str,

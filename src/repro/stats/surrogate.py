@@ -40,6 +40,7 @@ safely engine-agnostic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -57,18 +58,12 @@ __all__ = ["DelaySurrogate", "fit_surrogate"]
 _CACHE_KIND = "repro.stats.surrogate/1"
 
 
+@functools.cache
 def _fit_counter(outcome: str):
-    counter = _FIT_COUNTERS.get(outcome)
-    if counter is None:
-        counter = _metrics.registry().counter(
-            "repro_stats_surrogate_total",
-            "collocation surrogate fits, by cache outcome",
-            labels={"outcome": outcome})
-        _FIT_COUNTERS[outcome] = counter
-    return counter
-
-
-_FIT_COUNTERS: dict = {}
+    return _metrics.registry().counter(
+        "repro_stats_surrogate_total",
+        "collocation surrogate fits, by cache outcome",
+        labels={"outcome": outcome})
 
 
 def _multi_indices(k: int, degree: int) -> "list[tuple[int, ...]]":

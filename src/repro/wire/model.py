@@ -25,7 +25,16 @@ available per sink:
     10–90 % rise — exact for a two-stage RC ladder, and the
     fast-input (step) limit for deeper trees.  Degenerate fits
     (``b₂ ≤ 0``, e.g. a single RC stage, where the match collapses to
-    one pole) fall back to the exact single-pole closed form.
+    one pole; complex or coincident poles) fall back to the
+    single-pole closed form ``t = −b₁ ln(1−θ)``.
+
+    The crossings are threshold crossings of a two-exponential sum,
+    the same problem the 2-input gate kernel solves.  In units of
+    ``τ₁`` they are solved for every threshold and sink in one batch
+    by that kernel's safeguarded lockstep Newton
+    (:func:`repro.core.multi_input._crossing`), then finished with two
+    Newton steps on a cancellation-free form of ``y`` that keeps
+    nearly coincident poles at full precision.
 
 Uniform corner scaling is analytic: scaling every resistance by
 ``r`` and every capacitance by ``c`` scales *all* of the above
@@ -37,10 +46,12 @@ invariant), which is what keeps wire-aware corner sweeps array-native
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
+from ..core.multi_input import _crossing
 from ..errors import ParameterError
 from ..obs.metrics import registry
 from ..obs.trace import span
@@ -55,18 +66,13 @@ WIRE_MODELS = ("elmore", "two_pole")
 _LN2 = math.log(2.0)
 _LN9 = math.log(9.0)
 
-_counters: dict[str, object] = {}
 
-
+@functools.cache
 def _reduction_counter(model: str):
-    counter = _counters.get(model)
-    if counter is None:
-        counter = registry().counter(
-            "repro_wire_reductions_total",
-            "Wire trees reduced to analytic delay models.",
-            labels={"model": model})
-        _counters[model] = counter
-    return counter
+    return registry().counter(
+        "repro_wire_reductions_total",
+        "Wire trees reduced to analytic delay models.",
+        labels={"model": model})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,8 +137,9 @@ def two_pole_step_crossings(
     ----------
     b1, b2 : array_like
         Denominator coefficients of ``1/(1 + b₁s + b₂s²)`` per sink
-        (``b1 > 0``; entries with ``b2 <= 0`` or complex poles use
-        the exact single-pole fallback ``t = −b₁ ln(1−θ)``).
+        (``b1 > 0``, ``b2`` finite and broadcastable to ``b1``;
+        entries with ``b2 <= 0``, complex or coincident poles use the
+        single-pole fallback ``t = −b₁ ln(1−θ)``).
     thresholds : tuple of float, optional
         Normalized levels in ``(0, 1)``.
 
@@ -143,52 +150,51 @@ def two_pole_step_crossings(
         seconds.
     """
     b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
+    shape = b1.shape
     if np.any(b1 <= 0.0) or not np.all(np.isfinite(b1)):
         raise ParameterError("two-pole b1 must be positive and "
                              "finite")
+    b2 = np.broadcast_to(np.asarray(b2, dtype=float), shape).ravel()
+    if not np.all(np.isfinite(b2)):
+        raise ParameterError("two-pole b2 must be finite")
     thresholds = tuple(float(level) for level in thresholds)
     if any(not 0.0 < level < 1.0 for level in thresholds):
         raise ParameterError("thresholds must lie strictly in "
                              "(0, 1)")
-    disc = b1 * b1 - 4.0 * b2
-    two_pole = (b2 > 0.0) & (disc > 0.0)
-    root = np.sqrt(np.where(two_pole, disc, 0.0))
-    tau1 = np.where(two_pole, 0.5 * (b1 + root), b1)
-    tau2 = np.where(two_pole, 0.5 * (b1 - root), 0.0)
-    # Nearly coincident poles make the two-exponential form
-    # numerically unstable; the single-pole fallback is within float
-    # noise there anyway.
-    distinct = two_pole & (tau1 - tau2 > 1e-9 * tau1)
-    tau2 = np.where(distinct, tau2, 0.0)
-    gap = np.where(distinct, tau1 - tau2, tau1)
-
-    def remainder(t: np.ndarray) -> np.ndarray:
-        """1 − y(t): the settled fraction still missing."""
-        first = tau1 * np.exp(-t / tau1)
-        second = np.where(distinct,
-                          tau2 * np.exp(-t / np.where(
-                              distinct, tau2, 1.0)), 0.0)
-        return (first - second) / gap
-
-    out = np.empty((len(thresholds),) + b1.shape)
-    for index, level in enumerate(thresholds):
-        target = 1.0 - level
-        # Single-pole entries have the exact closed form; two-pole
-        # entries are bracketed then bisected (y is monotone).
-        closed = -tau1 * np.log(target)
-        high = np.where(
-            distinct,
-            tau1 * np.log(np.maximum(tau1 / (gap * target), 2.0)),
-            closed)
-        low = np.zeros_like(high)
-        for _ in range(64):
-            mid = 0.5 * (low + high)
-            above = remainder(mid) > target
-            low = np.where(above, mid, low)
-            high = np.where(above, high, mid)
-        out[index] = np.where(distinct, 0.5 * (low + high), closed)
-    return out
+    b1 = b1.ravel()
+    theta = np.array(thresholds)[:, None]
+    level = 1.0 - theta
+    out = -np.log1p(-theta) * b1
+    root = np.sqrt(np.maximum(b1 * b1 - 4.0 * b2, 0.0))
+    tau1 = 0.5 * (b1 + root)
+    # Real, distinct poles; below a 1e-9 relative gap the weights
+    # ±τ₁/(τ₁ − τ₂) of the exponential form blow up.
+    distinct = (b2 > 0.0) & (root > 1e-9 * tau1)
+    if distinct.any():
+        # Time in units of τ₁: ρ = τ₂/τ₁, 1 − y(u) = (e^{−u} −
+        # ρe^{−u/ρ})/(1 − ρ), solved for every threshold and sink at
+        # once by the gate kernel's two-exponential Newton.
+        rho = b2[distinct] / tau1[distinct] ** 2
+        gap = 1.0 - rho
+        batch = (len(thresholds), rho.size)
+        u = _crossing(np.broadcast_to(1.0 / gap, batch),
+                      np.broadcast_to(-rho / gap, batch),
+                      -np.ones_like(rho), -1.0 / rho, level,
+                      np.zeros(batch), np.full(batch, np.inf),
+                      upward=False)
+        # Near coincidence the weights ±1/(1 − ρ) cancel and leave
+        # that root ~1e-7 off, so finish with two Newton steps on the
+        # cancellation-free form 1 − y = e^{−u}(1 + ρw), y′ = e^{−u}w,
+        # w = −expm1(−u(1 − ρ)/ρ)/(1 − ρ), with the residual taken
+        # against whichever of θ and 1 − θ is exact.
+        for _ in range(2):
+            w = -np.expm1(-u * gap / rho) / gap
+            e = np.exp(-u)
+            miss = np.where(theta < 0.5, -np.expm1(-u) - theta,
+                            level - e) - rho * e * w
+            u = u - miss / (e * w)
+        out[:, distinct] = u * tau1[distinct]
+    return out.reshape((len(thresholds),) + shape)
 
 
 def reduce_tree(tree: WireTree, model: str = "two_pole",
@@ -215,26 +221,19 @@ def reduce_tree(tree: WireTree, model: str = "two_pole",
     with span("wire.reduce", model=model,
               segments=len(tree.segments), sinks=len(tree.sinks)):
         elmore, m2 = tree.moments()
-        sinks = []
+        b1 = np.array([elmore[sink] for sink in tree.sinks])
         if model == "elmore":
-            for sink in tree.sinks:
-                first = elmore[sink]
-                sinks.append(SinkTiming(sink=sink, elmore=first,
-                                        delay=first,
-                                        slew=first * _LN9))
+            delay, slew = b1, b1 * _LN9
         else:
-            b1 = np.array([elmore[sink] for sink in tree.sinks])
-            b2 = b1 * b1 - np.array([m2[sink]
-                                     for sink in tree.sinks])
-            t10, t50, t90 = two_pole_step_crossings(b1, b2)
-            for index, sink in enumerate(tree.sinks):
-                sinks.append(SinkTiming(
-                    sink=sink, elmore=float(b1[index]),
-                    delay=float(t50[index]),
-                    slew=float(t90[index] - t10[index])))
+            b2 = b1 * b1 - np.array([m2[sink] for sink in tree.sinks])
+            t10, delay, t90 = two_pole_step_crossings(b1, b2)
+            slew = t90 - t10
         _reduction_counter(model).inc()
-        return WireTiming(tree=tree, model=model,
-                          sinks=tuple(sinks))
+        return WireTiming(tree=tree, model=model, sinks=tuple(
+            SinkTiming(sink=sink, elmore=float(first),
+                       delay=float(arc), slew=float(rise))
+            for sink, first, arc, rise in zip(tree.sinks, b1, delay,
+                                              slew)))
 
 
 def scaled_delays(timing: WireTiming, r_scale=1.0, c_scale=1.0,

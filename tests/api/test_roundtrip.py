@@ -261,3 +261,26 @@ def test_field_type_enforcement():
 def test_base_class_is_abstractly_decodable():
     record = DelayRequest()
     assert ApiRecord.from_json(record.to_json()) == record
+
+
+@pytest.mark.parametrize("record", [DelayRequest(), StaRequest(),
+                                    WireRequest(), StatsRequest()],
+                         ids=lambda record: record.kind)
+def test_field_hints_resolve_once_per_kind(record, monkeypatch):
+    # Resolving string annotations recompiles them; a decode of a kind
+    # already seen must not pay for that again.
+    import typing
+
+    calls = []
+    resolve = typing.get_type_hints
+
+    def counting(target, *args, **kwargs):
+        calls.append(target)
+        return resolve(target, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    envelope = record.to_json()
+    assert from_json(envelope) == record
+    seen = len(calls)
+    assert from_json(envelope) == record
+    assert len(calls) == seen

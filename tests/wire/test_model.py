@@ -20,6 +20,38 @@ def single_rc(r=1e3, c=1e-12) -> WireTree:
     return WireTree(segments=(WireSegment("n1", "root", r, c),))
 
 
+def bisect_crossing(b1: float, b2: float, theta: float) -> float:
+    """Scalar 200-step bisection of ``y(t) = θ`` for one sink.
+
+    The response is evaluated free of cancellation: in units of
+    ``τ₁`` with ``ρ = τ₂/τ₁``, ``y(u) = 1 − e^{−u} − ρe^{−u}(1 −
+    e^{−u(1−ρ)/ρ})/(1 − ρ)``, compared against ``θ`` below one half
+    and as ``1 − y`` against the exact ``1 − θ`` above.
+    """
+    root = math.sqrt(max(b1 * b1 - 4.0 * b2, 0.0))
+    tau1 = 0.5 * (b1 + root)
+    rho = b2 / tau1 ** 2
+    if not (b2 > 0.0 and root > 1e-9 * tau1):
+        tau1, rho = b1, 0.0  # single-pole fallback
+
+    def settled_beyond(u):
+        slow = math.exp(-u)
+        fast = (rho * slow * -math.expm1(-u * (1.0 - rho) / rho)
+                / (1.0 - rho)) if rho else 0.0
+        if theta < 0.5:
+            return -math.expm1(-u) - fast > theta
+        return slow + fast < 1.0 - theta
+
+    lo, hi = 0.0, 64.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if settled_beyond(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi) * tau1
+
+
 class TestTwoPoleCrossings:
     def test_single_pole_closed_form(self):
         # b2 = 0 collapses to t = -b1 ln(1 - theta).
@@ -31,8 +63,8 @@ class TestTwoPoleCrossings:
                                                   rel=1e-12)
 
     def test_two_stage_ladder_is_exact(self):
-        # A 2-stage ladder is exactly second order: the crossing of
-        # the bisection must match a brute-force pole solve.
+        # A 2-stage ladder is exactly second order: the reduced
+        # crossing must match a brute-force pole solve.
         r, c = 1e3, 1e-15
         tree = WireTree.line(segments=2, resistance=r, capacitance=c)
         timing = reduce_tree(tree, model="two_pole")
@@ -62,6 +94,42 @@ class TestTwoPoleCrossings:
             two_pole_step_crossings(np.array([1e-12]),
                                     np.array([0.0]),
                                     thresholds=(0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_b2(self, bad):
+        with pytest.raises(ParameterError, match="b2 must be finite"):
+            two_pole_step_crossings(np.array([1e-12, 2e-12]),
+                                    np.array([1e-25, bad]))
+
+    def test_matches_scalar_bisection_in_every_regime(self):
+        # Seeded (b1, b2) per regime, one row each of a 2-D b1.
+        rng = np.random.default_rng(20240315)
+        n = 16
+        tau1 = 10.0 ** rng.uniform(-14.0, -10.0, (7, n))
+        separated = tau1[0] * rng.uniform(0.01, 0.99, n)
+        wide = tau1[1] * 10.0 ** rng.uniform(-14.0, -6.0, n)
+        close = tau1[6] * (1.0 - 10.0 ** rng.uniform(-8.0, -1.0, n))
+        # Power-of-two b1 makes b1² − 4b2 exact: a gap of k ulps of
+        # b1² is the smallest the quadratic resolves (k = 0 is a
+        # coincident pair, which takes the single-pole form).
+        pow2 = np.exp2(np.round(np.log2(tau1[3])))
+        b1 = np.stack([tau1[0] + separated, tau1[1] + wide, tau1[2],
+                       pow2, tau1[4], tau1[5], tau1[6] + close])
+        b2 = np.stack([
+            tau1[0] * separated,  # tau2/tau1 in [0.01, 0.99]
+            tau1[1] * wide,  # tau2/tau1 <= 1e-6
+            -rng.uniform(0.0, 1.0, n) * tau1[2] ** 2,  # b2 < 0
+            pow2 ** 2 / 4.0 * (1.0 - 2.0 ** -53 * np.arange(n)),
+            tau1[4] ** 2 * rng.uniform(0.26, 4.0, n),  # complex
+            np.zeros(n),  # one pole
+            tau1[6] * close])  # 1 - tau2/tau1 in [1e-8, 0.1]
+        levels = (0.01, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.99)
+        out = two_pole_step_crossings(b1, b2, thresholds=levels)
+        assert out.shape == (len(levels),) + b1.shape
+        ref = np.array([[bisect_crossing(x, y, level)
+                         for x, y in zip(b1.ravel(), b2.ravel())]
+                        for level in levels]).reshape(out.shape)
+        assert np.max(np.abs(out - ref) / ref) <= 1e-14
 
     def test_monotone_in_threshold(self):
         tree = WireTree.line(segments=4)
